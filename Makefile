@@ -26,7 +26,7 @@ DIFFTEST_BUDGET ?= 60s
 # crash-recovery harness (acceptance: 50/50 green).
 CRASH_ITERS ?= 50
 
-.PHONY: all build vet lint test race bench-smoke bench-save bench-compare bench-durable hybrid-ab ingest-ab approx-ab telemetry-race telemetry-smoke chaos crash iocheck difftest difftest-long ci clean
+.PHONY: all build vet lint test lhperf-test race bench-smoke bench-save bench-compare bench-durable hybrid-ab ingest-ab approx-ab telemetry-race telemetry-smoke chaos crash iocheck difftest difftest-long ci clean
 
 all: build
 
@@ -158,7 +158,13 @@ difftest-long:
 	$(GO) test -count=1 -run TestDifferentialLong -timeout 0 \
 		./internal/difftest -difftest.duration $(DIFFTEST_BUDGET)
 
-ci: vet lint build race iocheck bench-smoke telemetry-race telemetry-smoke chaos crash difftest bench-compare
+# The benchmark harness is its own module (lhperf/go.mod) importing
+# repro/internal/..., so the root `go test ./...` never builds it; test
+# it separately so an engine API change cannot silently break it.
+lhperf-test:
+	cd lhperf && $(GO) test ./...
+
+ci: vet lint build lhperf-test race iocheck bench-smoke telemetry-race telemetry-smoke chaos crash difftest bench-compare
 
 clean:
 	$(GO) clean ./...

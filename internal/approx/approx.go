@@ -1,11 +1,18 @@
-// Package approx is the approximate query tier: a scan-shaped
-// evaluator over single-table aggregate queries that can answer from a
-// per-table summary (HyperLogLog cardinalities, Count-Min group counts,
-// a uniform reservoir row sample) instead of the full WCOJ pipeline,
-// reporting an explicit error bound with every estimate. It also owns
-// the exact hash-set evaluation of COUNT(DISTINCT col) — a shape the
-// trie engine does not execute — so the sketches always have an exact
-// anchor on the same code path.
+// Package approx is the approximate query tier: single-table aggregate
+// queries answered from a per-table summary (HyperLogLog cardinalities,
+// Count-Min group counts, a uniform reservoir sample of row ids)
+// instead of the full WCOJ pipeline, with an explicit error bound on
+// every estimate. It also owns the exact evaluation of COUNT(DISTINCT
+// col) — a shape the trie engine does not execute — so the sketches
+// always have an exact anchor on the same code path.
+//
+// Both scans run on the snapshot-resolved generation through
+// internal/expr: the WHERE clause and the sum/avg/min/max arguments are
+// the engine's compiled closures over the columnar buffers, and group
+// and distinct identity is a per-column uint64 token (see token). The
+// exact scan visits every row; the sample route visits the reservoir's
+// row ids, which name the same rows in every later generation because
+// generations append and compaction preserves row order.
 //
 // The tier is strictly opt-in (QueryOptions.ApproxOK): without the
 // opt-in the only shape served here is the exact distinct scan, and
@@ -15,6 +22,7 @@ package approx
 import (
 	"fmt"
 
+	"repro/internal/expr"
 	"repro/internal/sqlparse"
 	"repro/internal/storage"
 )
@@ -34,33 +42,43 @@ type OutCol struct {
 	Agg   int
 }
 
-// Shape is a supported single-table aggregate query: optional WHERE
-// over the table's columns, plain-column GROUP BY, and SELECT items
-// that are either group columns or bare aggregate calls.
+// Shape is a supported single-table aggregate query compiled against
+// one table generation: optional WHERE over the table's columns,
+// plain-column GROUP BY, and SELECT items that are either group columns
+// or bare aggregate calls.
 type Shape struct {
 	Table   string
-	Where   sqlparse.Expr
 	GroupBy []string
 	Aggs    []Agg
 	Out     []OutCol
 
 	HasDistinct bool
 	HasMinMax   bool
+
+	g        *storage.Table
+	filter   expr.Filter              // nil: no WHERE
+	groupTok []func(row int32) uint64 // per GroupBy column
+	aggTok   []func(row int32) uint64 // per Agg; set for distinct
+	aggVal   []expr.Value             // per Agg; set for sum/avg/min/max
 }
 
-// Analyze reports whether q is a supported shape over sch. A (nil,
-// false) return means "not this tier's query" — the caller falls
-// through to the normal engine, whose planner produces the
-// authoritative error for unsupported distinct shapes.
-func Analyze(q *sqlparse.Query, sch *storage.Schema) (*Shape, bool) {
+// Analyze reports whether q is a supported shape over the generation g
+// and compiles it there. A false return means "not this tier's query":
+// the caller falls through to the normal engine. The WHERE clause is
+// compiled by internal/expr, and the tier declines exactly the filters
+// expr cannot compile — except on distinct shapes, which the normal
+// engine cannot run either, where expr's error is returned.
+func Analyze(q *sqlparse.Query, g *storage.Table) (*Shape, bool, error) {
 	if len(q.From) != 1 || q.Having != nil {
-		return nil, false
+		return nil, false, nil
 	}
+	sch := &g.Schema
 	alias := q.From[0].Alias
 	if alias == "" {
 		alias = q.From[0].Table
 	}
-	sh := &Shape{Table: q.From[0].Table}
+	sh := &Shape{Table: q.From[0].Table, g: g}
+	bind := &expr.Binding{Alias: alias, Table: g}
 
 	resolve := func(cr sqlparse.ColRef) (string, bool) {
 		if cr.Qualifier != "" && cr.Qualifier != alias {
@@ -72,21 +90,14 @@ func Analyze(q *sqlparse.Query, sch *storage.Schema) (*Shape, bool) {
 		return cr.Name, true
 	}
 
-	if q.Where != nil {
-		if !filterSupported(q.Where, resolve) {
-			return nil, false
-		}
-		sh.Where = q.Where
-	}
-
 	for _, ge := range q.GroupBy {
 		cr, ok := ge.(sqlparse.ColRef)
 		if !ok {
-			return nil, false
+			return nil, false, nil
 		}
 		name, ok := resolve(cr)
 		if !ok {
-			return nil, false
+			return nil, false, nil
 		}
 		sh.GroupBy = append(sh.GroupBy, name)
 	}
@@ -107,42 +118,65 @@ func Analyze(q *sqlparse.Query, sch *storage.Schema) (*Shape, bool) {
 		case sqlparse.ColRef:
 			name, ok := resolve(e)
 			if !ok {
-				return nil, false
+				return nil, false, nil
 			}
 			gi := -1
-			for i, g := range sh.GroupBy {
-				if g == name {
+			for i, gb := range sh.GroupBy {
+				if gb == name {
 					gi = i
 				}
 			}
 			if gi < 0 {
-				return nil, false
+				return nil, false, nil
 			}
 			out.Group = gi
 		case sqlparse.FuncCall:
 			a, ok := analyzeAgg(e, sch, resolve)
 			if !ok {
-				return nil, false
+				return nil, false, nil
 			}
 			out.Agg = addAgg(a)
 		default:
-			return nil, false
+			return nil, false, nil
 		}
 		sh.Out = append(sh.Out, out)
 	}
 	if len(sh.Out) == 0 {
-		return nil, false
+		return nil, false, nil
 	}
 
-	for _, a := range sh.Aggs {
-		if a.Distinct {
+	sh.aggTok = make([]func(int32) uint64, len(sh.Aggs))
+	sh.aggVal = make([]expr.Value, len(sh.Aggs))
+	for i, a := range sh.Aggs {
+		switch {
+		case a.Distinct:
 			sh.HasDistinct = true
+			sh.aggTok[i] = token(g.Col(a.Col))
+		case a.Fn != "count":
+			v, err := expr.CompileValue(sqlparse.ColRef{Name: a.Col}, bind)
+			if err != nil {
+				return nil, false, nil
+			}
+			sh.aggVal[i] = v
 		}
 		if a.Fn == "min" || a.Fn == "max" {
 			sh.HasMinMax = true
 		}
 	}
-	return sh, true
+	for _, name := range sh.GroupBy {
+		sh.groupTok = append(sh.groupTok, token(g.Col(name)))
+	}
+	if q.Where != nil {
+		f, err := expr.CompileFilter(q.Where, bind)
+		if err != nil {
+			if sh.HasDistinct {
+				return nil, false, err
+			}
+			return nil, false, nil
+		}
+		sh.filter = f
+	}
+	return sh, true, nil
 }
 
 // analyzeAgg validates one aggregate call: count(*) / count(col) /
@@ -186,47 +220,6 @@ func analyzeAgg(fc sqlparse.FuncCall, sch *storage.Schema, resolve func(sqlparse
 	return Agg{Fn: fc.Name, Col: name, Distinct: fc.Distinct}, true
 }
 
-// filterSupported walks a WHERE expression and accepts exactly the
-// node set the tier's row evaluator implements, with every column
-// reference resolving into the table.
-func filterSupported(e sqlparse.Expr, resolve func(sqlparse.ColRef) (string, bool)) bool {
-	switch v := e.(type) {
-	case sqlparse.ColRef:
-		_, ok := resolve(v)
-		return ok
-	case sqlparse.NumberLit, sqlparse.StringLit, sqlparse.DateLit:
-		return true
-	case sqlparse.BinaryExpr:
-		return filterSupported(v.L, resolve) && filterSupported(v.R, resolve)
-	case sqlparse.UnaryExpr:
-		return filterSupported(v.X, resolve)
-	case sqlparse.BetweenExpr:
-		return filterSupported(v.X, resolve) && filterSupported(v.Lo, resolve) && filterSupported(v.Hi, resolve)
-	case sqlparse.InExpr:
-		if !filterSupported(v.X, resolve) {
-			return false
-		}
-		for _, x := range v.Vals {
-			if !filterSupported(x, resolve) {
-				return false
-			}
-		}
-		return true
-	case sqlparse.LikeExpr:
-		return filterSupported(v.X, resolve)
-	case sqlparse.ExtractExpr:
-		return filterSupported(v.X, resolve)
-	case sqlparse.CaseExpr:
-		for _, w := range v.Whens {
-			if !filterSupported(w.Cond, resolve) || !filterSupported(w.Then, resolve) {
-				return false
-			}
-		}
-		return v.Else == nil || filterSupported(v.Else, resolve)
-	}
-	return false
-}
-
 func selectName(it sqlparse.SelectItem) string {
 	if it.Alias != "" {
 		return it.Alias
@@ -238,7 +231,7 @@ func selectName(it sqlparse.SelectItem) string {
 // sketches alone: no filter, and either a scalar count/count-distinct
 // read (HLL) or a single-column count-only GROUP BY (Count-Min).
 func (sh *Shape) Sketchable() (route string, ok bool) {
-	if sh.Where != nil {
+	if sh.filter != nil {
 		return "", false
 	}
 	if len(sh.GroupBy) == 0 {

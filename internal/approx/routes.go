@@ -63,8 +63,9 @@ func Route(sh *Shape, rows, sampleCap int, drift float64) (string, *costopt.Appr
 }
 
 // EvalHLL answers a scalar count / count-distinct shape from the
-// per-column HLL sketches (n is the covered row count).
-func EvalHLL(sh *Shape, sum *Summary, sch *storage.Schema, n int) (*Answer, error) {
+// per-column HLL sketches of a summary covering the shape's generation.
+func EvalHLL(sh *Shape, sum *Summary) *Answer {
+	n := sh.g.NumRows
 	finals := make([]float64, len(sh.Aggs))
 	bounds := make([]float64, len(sh.Aggs))
 	for i, a := range sh.Aggs {
@@ -72,8 +73,7 @@ func EvalHLL(sh *Shape, sum *Summary, sch *storage.Schema, n int) (*Answer, erro
 			finals[i] = float64(n) // count(*) is exact from coverage
 			continue
 		}
-		ci := colIndex(sch, a.Col)
-		h := sum.HLLs[ci]
+		h := sum.HLLs[colIndex(&sh.g.Schema, a.Col)]
 		est := math.Round(h.Estimate())
 		if est > float64(n) {
 			est = float64(n)
@@ -81,65 +81,57 @@ func EvalHLL(sh *Shape, sum *Summary, sch *storage.Schema, n int) (*Answer, erro
 		finals[i] = est
 		bounds[i] = hllBound(h, est)
 	}
-	a := &Answer{Route: obs.DispatchApproxHLL, Approx: true}
-	a.Res = newResult(sh, sch)
-	appendRow(a.Res, sh, nil, finals)
+	a := &Answer{Route: obs.DispatchApproxHLL, Approx: true, Res: sh.newResult()}
+	sh.appendRow(a.Res, -1, finals)
 	a.ErrorBounds = outBounds(sh, bounds)
-	return finishBounds(a), nil
+	return finishBounds(a)
 }
 
-// EvalCMS answers a single-column count-only GROUP BY from the sample's
-// candidate groups and the column's Count-Min counts.
-func EvalCMS(sh *Shape, sum *Summary, sch *storage.Schema, n int) (*Answer, error) {
-	ci := colIndex(sch, sh.GroupBy[0])
-	cms := sum.CMSs[ci]
-	a := &Answer{Route: obs.DispatchApproxCMS, Approx: true}
-	a.Res = newResult(sh, sch)
-
-	seen := map[string]struct{}{}
-	bounds := make([]float64, len(sh.Aggs))
-	for _, row := range sum.Sample.Rows() {
-		v := canonVal(row[ci])
-		key := canonKey(v)
-		if _, dup := seen[key]; dup {
+// EvalCMS answers a single-column count-only GROUP BY from the
+// sample's candidate groups (in sample slot order) and the column's
+// Count-Min counts.
+func EvalCMS(sh *Shape, sum *Summary) *Answer {
+	ci := colIndex(&sh.g.Schema, sh.GroupBy[0])
+	col, cms := sh.g.Cols[ci], sum.CMSs[ci]
+	a := &Answer{Route: obs.DispatchApproxCMS, Approx: true, Res: sh.newResult()}
+	seen := map[uint64]struct{}{}
+	for _, ri := range sum.Sample.Rows() {
+		tok := sh.groupTok[0](ri)
+		if _, dup := seen[tok]; dup {
 			continue
 		}
-		seen[key] = struct{}{}
-		cnt := float64(cms.Count(sketch.HashValue(ValueHashSeed, v)))
+		seen[tok] = struct{}{}
+		cnt := float64(cms.Count(hashAt(col, ri)))
 		finals := make([]float64, len(sh.Aggs))
-		for i := range sh.Aggs {
+		for i := range finals {
 			finals[i] = cnt // every agg on this route is a count
 		}
-		appendRow(a.Res, sh, []any{v}, finals)
+		sh.appendRow(a.Res, ri, finals)
 	}
+	bounds := make([]float64, len(sh.Aggs))
 	for i := range bounds {
 		bounds[i] = cms.ErrorBound()
 	}
 	a.ErrorBounds = outBounds(sh, bounds)
-	a.MissBound = MissBound(n, len(sum.Sample.Rows()))
-	return finishBounds(a), nil
+	a.MissBound = MissBound(sh.g.NumRows, len(sum.Sample.Rows()))
+	return finishBounds(a)
 }
 
 // EvalSample answers a filtered/grouped count-sum-avg shape by running
-// the shared scan loop over the reservoir rows and scaling by N/k.
-func EvalSample(sh *Shape, rows [][]any, sch *storage.Schema, n int) (*Answer, error) {
-	k := len(rows)
+// the shared scan loop over the sampled row ids and scaling by N/k.
+func EvalSample(sh *Shape, rows []int32) *Answer {
+	n, k := sh.g.NumRows, len(rows)
 	scale := 1.0
 	if k > 0 {
 		scale = float64(n) / float64(k)
 	}
-	sc := NewRowScanner(sch, rows)
-	groups, err := sh.scan(sc)
-	if err != nil {
-		return nil, err
-	}
+	groups := sh.over(rows)
 	scalar := len(sh.GroupBy) == 0
 	if scalar && len(groups) == 0 {
-		groups = append(groups, newGroupAcc(sh, nil))
+		groups = append(groups, newGroupAcc(sh, -1))
 	}
 
-	a := &Answer{Route: obs.DispatchApproxSample, Approx: true}
-	a.Res = newResult(sh, sch)
+	a := &Answer{Route: obs.DispatchApproxSample, Approx: true, Res: sh.newResult()}
 	bounds := make([]float64, len(sh.Aggs))
 	for _, g := range groups {
 		finals := make([]float64, len(sh.Aggs))
@@ -156,13 +148,13 @@ func EvalSample(sh *Shape, rows [][]any, sch *storage.Schema, n int) (*Answer, e
 				bounds[i] = math.Max(bounds[i], avgBound(int(g.counts[i]), g.accs[i], g.accsSq[i], g.maxAbs[i]))
 			}
 		}
-		appendRow(a.Res, sh, g.keyVals, finals)
+		sh.appendRow(a.Res, g.row, finals)
 	}
 	a.ErrorBounds = outBounds(sh, bounds)
 	if !scalar {
 		a.MissBound = MissBound(n, k)
 	}
-	return finishBounds(a), nil
+	return finishBounds(a)
 }
 
 // outBounds spreads per-aggregate bounds onto output-column positions

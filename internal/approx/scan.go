@@ -1,436 +1,86 @@
 package approx
 
 import (
-	"fmt"
 	"math"
-	"strconv"
 
 	"repro/internal/exec"
-	"repro/internal/refeval"
-	"repro/internal/sqlparse"
+	"repro/internal/sketch"
 	"repro/internal/storage"
 )
 
-// Scanner is row access for the tier's evaluator, over either a
-// table's decoded columnar arrays (the exact scan) or a reservoir
-// sample's row slices (the sample route). Both backends present the
-// same (column, row) → native value view.
-type Scanner struct {
-	sch   *storage.Schema
-	colIx map[string]int
-	cols  []*storage.Column // columnar backend; nil for the row backend
-	rows  [][]any           // row backend
-	n     int
-}
-
-// NewTableScanner reads a snapshot-resolved table's raw columnar
-// arrays directly (generations retain them alongside the encodings).
-func NewTableScanner(t *storage.Table) *Scanner {
-	s := &Scanner{sch: &t.Schema, cols: t.Cols, n: t.NumRows, colIx: map[string]int{}}
-	for i := range t.Schema.Cols {
-		s.colIx[t.Schema.Cols[i].Name] = i
-	}
-	return s
-}
-
-// NewRowScanner reads pre-decoded rows (a reservoir sample) under the
-// same schema.
-func NewRowScanner(sch *storage.Schema, rows [][]any) *Scanner {
-	s := &Scanner{sch: sch, rows: rows, n: len(rows), colIx: map[string]int{}}
-	for i := range sch.Cols {
-		s.colIx[sch.Cols[i].Name] = i
-	}
-	return s
-}
-
-// NumRows reports the scan length.
-func (s *Scanner) NumRows() int { return s.n }
-
-func (s *Scanner) value(ci, ri int) any {
-	if s.cols != nil {
-		c := s.cols[ci]
-		switch c.Def.Kind {
-		case storage.Float64:
-			return c.Floats[ri]
-		case storage.String:
-			return c.Strs[ri]
-		default:
-			return c.Ints[ri]
-		}
-	}
-	return s.rows[ri][ci]
-}
-
-// Row materializes row ri as a decoded []any (used when feeding the
-// reservoir).
-func (s *Scanner) Row(ri int) []any {
-	row := make([]any, len(s.sch.Cols))
-	for ci := range row {
-		row[ci] = s.value(ci, ri)
-	}
-	return row
-}
-
-// --- row expression evaluation (mirrors refeval's float64 semantics) ---
-
-func (s *Scanner) colOf(cr sqlparse.ColRef) (int, error) {
-	ci, ok := s.colIx[cr.Name]
-	if !ok {
-		return 0, fmt.Errorf("approx: unknown column %s", cr.Name)
-	}
-	return ci, nil
-}
-
-func (s *Scanner) evalBool(e sqlparse.Expr, ri int) (bool, error) {
-	switch v := e.(type) {
-	case sqlparse.BinaryExpr:
-		switch v.Op {
-		case "and":
-			l, err := s.evalBool(v.L, ri)
-			if err != nil || !l {
-				return false, err
-			}
-			return s.evalBool(v.R, ri)
-		case "or":
-			l, err := s.evalBool(v.L, ri)
-			if err != nil || l {
-				return l, err
-			}
-			return s.evalBool(v.R, ri)
-		case "=", "<>", "<", "<=", ">", ">=":
-			return s.compare(v.Op, v.L, v.R, ri)
-		}
-		return false, fmt.Errorf("approx: boolean op %s", v.Op)
-	case sqlparse.UnaryExpr:
-		if v.Op == "not" {
-			b, err := s.evalBool(v.X, ri)
-			return !b, err
-		}
-		return false, fmt.Errorf("approx: unary %s in boolean context", v.Op)
-	case sqlparse.BetweenExpr:
-		x, err := s.evalNum(v.X, ri)
-		if err != nil {
-			return false, err
-		}
-		lo, err := s.evalNum(v.Lo, ri)
-		if err != nil {
-			return false, err
-		}
-		hi, err := s.evalNum(v.Hi, ri)
-		if err != nil {
-			return false, err
-		}
-		in := x >= lo && x <= hi
-		return in != v.Negate, nil
-	case sqlparse.InExpr:
-		if str, ok, err := s.evalStr(v.X, ri); err != nil {
-			return false, err
-		} else if ok {
-			hit := false
-			for _, ve := range v.Vals {
-				lit, isStr := ve.(sqlparse.StringLit)
-				if !isStr {
-					return false, fmt.Errorf("approx: IN on string needs string literals")
-				}
-				if str == lit.Val {
-					hit = true
-					break
-				}
-			}
-			return hit != v.Negate, nil
-		}
-		x, err := s.evalNum(v.X, ri)
-		if err != nil {
-			return false, err
-		}
-		hit := false
-		for _, ve := range v.Vals {
-			n, err := s.evalNum(ve, ri)
-			if err != nil {
-				return false, err
-			}
-			if x == n {
-				hit = true
-				break
-			}
-		}
-		return hit != v.Negate, nil
-	case sqlparse.LikeExpr:
-		str, ok, err := s.evalStr(v.X, ri)
-		if err != nil {
-			return false, err
-		}
-		if !ok {
-			return false, fmt.Errorf("approx: LIKE on non-string")
-		}
-		return refeval.LikeMatch(str, v.Pattern) != v.Negate, nil
-	}
-	return false, fmt.Errorf("approx: unsupported boolean expr %T", e)
-}
-
-func (s *Scanner) compare(op string, le, re sqlparse.Expr, ri int) (bool, error) {
-	ls, lok, err := s.evalStr(le, ri)
-	if err != nil {
-		return false, err
-	}
-	rs, rok, err := s.evalStr(re, ri)
-	if err != nil {
-		return false, err
-	}
-	if lok && rok {
-		switch op {
-		case "=":
-			return ls == rs, nil
-		case "<>":
-			return ls != rs, nil
-		case "<":
-			return ls < rs, nil
-		case "<=":
-			return ls <= rs, nil
-		case ">":
-			return ls > rs, nil
-		default:
-			return ls >= rs, nil
-		}
-	}
-	if lok != rok {
-		return false, fmt.Errorf("approx: mixed string/numeric comparison")
-	}
-	l, err := s.evalNum(le, ri)
-	if err != nil {
-		return false, err
-	}
-	r, err := s.evalNum(re, ri)
-	if err != nil {
-		return false, err
-	}
-	switch op {
-	case "=":
-		return l == r, nil
-	case "<>":
-		return l != r, nil
-	case "<":
-		return l < r, nil
-	case "<=":
-		return l <= r, nil
-	case ">":
-		return l > r, nil
+// token returns col's per-row identity token: two rows get equal
+// tokens exactly when the engine groups their values together. Key
+// columns and string annotations use their dictionary codes, int and
+// date annotations their raw values (float64 would merge neighbours
+// past 2^53), and floats their canonical bits (-0.0 → +0.0, one NaN).
+func token(col *storage.Column) func(row int32) uint64 {
+	switch {
+	case col.Def.Role == storage.Key:
+		codes := col.KeyCodes()
+		return func(row int32) uint64 { return uint64(codes[row]) }
+	case col.Def.Kind == storage.String:
+		codes := col.AnnCodes()
+		return func(row int32) uint64 { return uint64(codes[row]) }
+	case col.Def.Kind == storage.Float64:
+		fs := col.Floats
+		return func(row int32) uint64 { return sketch.CanonFloatBits(fs[row]) }
 	default:
-		return l >= r, nil
+		ints := col.Ints
+		return func(row int32) uint64 { return uint64(ints[row]) }
 	}
 }
-
-func (s *Scanner) evalStr(e sqlparse.Expr, ri int) (string, bool, error) {
-	switch v := e.(type) {
-	case sqlparse.StringLit:
-		return v.Val, true, nil
-	case sqlparse.ColRef:
-		ci, err := s.colOf(v)
-		if err != nil {
-			return "", false, err
-		}
-		if s.sch.Cols[ci].Kind == storage.String {
-			return s.value(ci, ri).(string), true, nil
-		}
-	}
-	return "", false, nil
-}
-
-func (s *Scanner) evalNum(e sqlparse.Expr, ri int) (float64, error) {
-	switch v := e.(type) {
-	case sqlparse.NumberLit:
-		return v.Val, nil
-	case sqlparse.DateLit:
-		return float64(v.Days), nil
-	case sqlparse.ColRef:
-		ci, err := s.colOf(v)
-		if err != nil {
-			return 0, err
-		}
-		switch s.sch.Cols[ci].Kind {
-		case storage.String:
-			return 0, fmt.Errorf("approx: string column %s in numeric context", v.Name)
-		case storage.Float64:
-			return s.value(ci, ri).(float64), nil
-		default:
-			return float64(s.value(ci, ri).(int64)), nil
-		}
-	case sqlparse.BinaryExpr:
-		switch v.Op {
-		case "+", "-", "*", "/":
-			l, err := s.evalNum(v.L, ri)
-			if err != nil {
-				return 0, err
-			}
-			r, err := s.evalNum(v.R, ri)
-			if err != nil {
-				return 0, err
-			}
-			switch v.Op {
-			case "+":
-				return l + r, nil
-			case "-":
-				return l - r, nil
-			case "*":
-				return l * r, nil
-			default:
-				return l / r, nil
-			}
-		default:
-			b, err := s.evalBool(v, ri)
-			if err != nil {
-				return 0, err
-			}
-			if b {
-				return 1, nil
-			}
-			return 0, nil
-		}
-	case sqlparse.UnaryExpr:
-		if v.Op == "-" {
-			n, err := s.evalNum(v.X, ri)
-			return -n, err
-		}
-		b, err := s.evalBool(v, ri)
-		if err != nil {
-			return 0, err
-		}
-		if b {
-			return 1, nil
-		}
-		return 0, nil
-	case sqlparse.CaseExpr:
-		for _, w := range v.Whens {
-			c, err := s.evalBool(w.Cond, ri)
-			if err != nil {
-				return 0, err
-			}
-			if c {
-				return s.evalNum(w.Then, ri)
-			}
-		}
-		if v.Else != nil {
-			return s.evalNum(v.Else, ri)
-		}
-		return 0, nil
-	case sqlparse.ExtractExpr:
-		d, err := s.evalNum(v.X, ri)
-		if err != nil {
-			return 0, err
-		}
-		days := int32(d)
-		switch v.Unit {
-		case "year":
-			return float64(sqlparse.DateYear(days)), nil
-		case "month":
-			return float64(sqlparse.DateMonth(days)), nil
-		default:
-			return float64(sqlparse.DateDay(days)), nil
-		}
-	case sqlparse.BetweenExpr, sqlparse.InExpr, sqlparse.LikeExpr:
-		b, err := s.evalBool(e, ri)
-		if err != nil {
-			return 0, err
-		}
-		if b {
-			return 1, nil
-		}
-		return 0, nil
-	}
-	return 0, fmt.Errorf("approx: unsupported numeric expr %T", e)
-}
-
-// --- canonical group/distinct keys (mirror the engine's pseudo-encoding) ---
-
-// canonVal folds -0.0 into +0.0 and all NaN payloads into one NaN.
-func canonVal(v any) any {
-	if f, ok := v.(float64); ok {
-		if f == 0 {
-			return 0.0
-		}
-		if math.IsNaN(f) {
-			return math.NaN()
-		}
-	}
-	return v
-}
-
-// canonKey renders a canonical value as an exact pairing string.
-func canonKey(v any) string {
-	switch x := v.(type) {
-	case int64:
-		return "i" + strconv.FormatInt(x, 10)
-	case float64:
-		if math.IsNaN(x) {
-			return "fNaN"
-		}
-		return "f" + strconv.FormatFloat(x, 'x', -1, 64)
-	case string:
-		return "s" + x
-	}
-	return fmt.Sprintf("?%v", v)
-}
-
-// --- exact scan evaluation ---
 
 type groupAcc struct {
-	keyVals []any
-	rows    float64
-	accs    []float64
-	counts  []float64
-	sets    []map[string]struct{}
+	row    int32 // first row seen: the source of the group's key values
+	rows   float64
+	accs   []float64
+	counts []float64
+	sets   []map[uint64]struct{}
 	// accsSq/maxAbs track Σv² and max|v| per sum/avg aggregate — free on
 	// the exact path, and exactly what the sample route's CLT bounds need.
 	accsSq []float64
 	maxAbs []float64
 }
 
-// scan runs the shared filter/group/accumulate loop over sc and returns
-// the groups in first-seen order.
-func (sh *Shape) scan(sc *Scanner) ([]*groupAcc, error) {
+// over runs the shape's filter/group/accumulate loop over the given row
+// ids of its generation (nil means every row) and returns the groups in
+// first-seen order.
+func (sh *Shape) over(rows []int32) []*groupAcc {
+	n := len(rows)
+	if rows == nil {
+		n = sh.g.NumRows
+	}
 	groups := map[string]*groupAcc{}
 	var order []*groupAcc
-	for ri := 0; ri < sc.NumRows(); ri++ {
-		if sh.Where != nil {
-			ok, err := sc.evalBool(sh.Where, ri)
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				continue
-			}
+	key := make([]byte, 8*len(sh.groupTok))
+	for i := 0; i < n; i++ {
+		ri := int32(i)
+		if rows != nil {
+			ri = rows[i]
 		}
-		key := ""
-		var keyVals []any
-		if len(sh.GroupBy) > 0 {
-			keyVals = make([]any, len(sh.GroupBy))
-			for i, gcol := range sh.GroupBy {
-				v := canonVal(sc.value(sc.colIx[gcol], ri))
-				keyVals[i] = v
-				key += canonKey(v) + "\x00"
-			}
+		if sh.filter != nil && !sh.filter(ri) {
+			continue
 		}
-		g := groups[key]
+		for j, tok := range sh.groupTok {
+			putToken(key[8*j:], tok(ri))
+		}
+		g := groups[string(key)]
 		if g == nil {
-			g = newGroupAcc(sh, keyVals)
-			groups[key] = g
+			g = newGroupAcc(sh, ri)
+			groups[string(key)] = g
 			order = append(order, g)
 		}
 		g.rows++
 		for i, a := range sh.Aggs {
 			if a.Distinct {
-				v := canonVal(sc.value(sc.colIx[a.Col], ri))
-				g.sets[i][canonKey(v)] = struct{}{}
+				g.sets[i][sh.aggTok[i](ri)] = struct{}{}
 				continue
 			}
 			switch a.Fn {
 			case "count":
 				g.accs[i]++
 			case "sum", "avg":
-				v, err := sc.evalNum(sqlparse.ColRef{Name: a.Col}, ri)
-				if err != nil {
-					return nil, err
-				}
+				v := sh.aggVal[i](ri)
 				g.accs[i] += v
 				g.accsSq[i] += v * v
 				g.counts[i]++
@@ -438,29 +88,28 @@ func (sh *Shape) scan(sc *Scanner) ([]*groupAcc, error) {
 					g.maxAbs[i] = av
 				}
 			case "min":
-				v, err := sc.evalNum(sqlparse.ColRef{Name: a.Col}, ri)
-				if err != nil {
-					return nil, err
-				}
-				if v < g.accs[i] {
+				if v := sh.aggVal[i](ri); v < g.accs[i] {
 					g.accs[i] = v
 				}
 			case "max":
-				v, err := sc.evalNum(sqlparse.ColRef{Name: a.Col}, ri)
-				if err != nil {
-					return nil, err
-				}
-				if v > g.accs[i] {
+				if v := sh.aggVal[i](ri); v > g.accs[i] {
 					g.accs[i] = v
 				}
 			}
 		}
 	}
-	return order, nil
+	return order
 }
 
-func newGroupAcc(sh *Shape, keyVals []any) *groupAcc {
-	g := &groupAcc{keyVals: keyVals, accs: make([]float64, len(sh.Aggs)), counts: make([]float64, len(sh.Aggs)), sets: make([]map[string]struct{}, len(sh.Aggs)), accsSq: make([]float64, len(sh.Aggs)), maxAbs: make([]float64, len(sh.Aggs))}
+func putToken(b []byte, t uint64) {
+	for i := range 8 {
+		b[i] = byte(t >> (8 * i))
+	}
+}
+
+func newGroupAcc(sh *Shape, row int32) *groupAcc {
+	n := len(sh.Aggs)
+	g := &groupAcc{row: row, accs: make([]float64, n), counts: make([]float64, n), sets: make([]map[uint64]struct{}, n), accsSq: make([]float64, n), maxAbs: make([]float64, n)}
 	for i, a := range sh.Aggs {
 		switch a.Fn {
 		case "min":
@@ -469,7 +118,7 @@ func newGroupAcc(sh *Shape, keyVals []any) *groupAcc {
 			g.accs[i] = math.Inf(-1)
 		}
 		if a.Distinct {
-			g.sets[i] = map[string]struct{}{}
+			g.sets[i] = map[uint64]struct{}{}
 		}
 	}
 	return g
@@ -496,32 +145,29 @@ func (sh *Shape) finals(g *groupAcc) []float64 {
 	return out
 }
 
-// EvalScan evaluates the shape exactly over a full table scan: the
-// engine's COUNT(DISTINCT) baseline (hash-set evaluation) and the
-// approximate tier's exact fallback route.
-func EvalScan(sh *Shape, sc *Scanner) (*exec.Result, error) {
-	groups, err := sh.scan(sc)
-	if err != nil {
-		return nil, err
-	}
+// EvalScan evaluates the shape exactly over every row of its
+// generation: the engine's COUNT(DISTINCT) baseline (a code-token scan)
+// and the approximate tier's exact fallback route.
+func EvalScan(sh *Shape) *exec.Result {
+	groups := sh.over(nil)
 	if len(sh.GroupBy) == 0 && len(groups) == 0 {
 		// Scalar convention: one all-zero aggregate row.
-		groups = append(groups, newGroupAcc(sh, nil))
+		groups = append(groups, newGroupAcc(sh, -1))
 	}
-	res := newResult(sh, sc.sch)
+	res := sh.newResult()
 	for _, g := range groups {
-		appendRow(res, sh, g.keyVals, sh.finals(g))
+		sh.appendRow(res, g.row, sh.finals(g))
 	}
-	return res, nil
+	return res
 }
 
 // newResult allocates the typed output columns for a shape.
-func newResult(sh *Shape, sch *storage.Schema) *exec.Result {
+func (sh *Shape) newResult() *exec.Result {
 	res := &exec.Result{}
 	for _, out := range sh.Out {
-		col := &exec.Column{Name: out.Name}
+		col := &exec.Column{Name: out.Name, Kind: exec.KindFloat}
 		if out.Group >= 0 {
-			switch sch.Col(sh.GroupBy[out.Group]).Kind {
+			switch sh.g.Schema.Col(sh.GroupBy[out.Group]).Kind {
 			case storage.Float64:
 				col.Kind = exec.KindFloat
 			case storage.String:
@@ -529,31 +175,31 @@ func newResult(sh *Shape, sch *storage.Schema) *exec.Result {
 			default:
 				col.Kind = exec.KindInt
 			}
-		} else {
-			col.Kind = exec.KindFloat
 		}
 		res.Cols = append(res.Cols, col)
 	}
 	return res
 }
 
-// appendRow appends one output row from group key values and finished
-// aggregate values.
-func appendRow(res *exec.Result, sh *Shape, keyVals []any, finals []float64) {
+// appendRow appends one output row: group values read from the
+// generation at row (floats folded to their canonical value), and the
+// finished aggregate values.
+func (sh *Shape) appendRow(res *exec.Result, row int32, finals []float64) {
 	for ci, out := range sh.Out {
 		col := res.Cols[ci]
-		if out.Group >= 0 {
-			switch v := keyVals[out.Group].(type) {
-			case int64:
-				col.I64 = append(col.I64, v)
-			case float64:
-				col.F64 = append(col.F64, v)
-			case string:
-				col.Str = append(col.Str, v)
-			}
+		if out.Group < 0 {
+			col.F64 = append(col.F64, finals[out.Agg])
 			continue
 		}
-		col.F64 = append(col.F64, finals[out.Agg])
+		src := sh.g.Col(sh.GroupBy[out.Group])
+		switch col.Kind {
+		case exec.KindFloat:
+			col.F64 = append(col.F64, math.Float64frombits(sketch.CanonFloatBits(src.Floats[row])))
+		case exec.KindString:
+			col.Str = append(col.Str, src.Strs[row])
+		default:
+			col.I64 = append(col.I64, src.Ints[row])
+		}
 	}
 	res.NumRows++
 }

@@ -17,7 +17,7 @@ const DefaultSampleRows = 4096
 
 // Summary is one table's approximate-tier state: per-column HLL
 // cardinality sketches, per-column Count-Min group-count sketches, and
-// a uniform reservoir sample of decoded rows. It is built lazily on
+// a uniform reservoir sample of row ids. It is built lazily on
 // first approximate use, extended incrementally as a table's snapshot
 // row count grows (generations fold delta rows strictly after the base
 // prefix, so rows [Rows, n) are exactly the unseen suffix), and
@@ -70,25 +70,39 @@ func (s *Summary) Covers(t *storage.Table) bool {
 // Extend folds rows [s.Rows, t.NumRows) of a snapshot-resolved table
 // into the summary. Building from scratch is Extend on a fresh summary.
 func (s *Summary) Extend(t *storage.Table, epoch uint64) {
-	sc := NewTableScanner(t)
-	for ri := s.Rows; ri < sc.NumRows(); ri++ {
-		row := sc.Row(ri)
-		for ci, v := range row {
-			h := sketch.HashValue(ValueHashSeed, canonVal(v))
-			s.HLLs[ci].AddHash(h)
-			s.CMSs[ci].AddHash(h)
+	for ci, col := range t.Cols {
+		h, c := s.HLLs[ci], s.CMSs[ci]
+		for ri := s.Rows; ri < t.NumRows; ri++ {
+			x := hashAt(col, int32(ri))
+			h.AddHash(x)
+			c.AddHash(x)
 		}
-		s.Sample.Add(row)
 	}
-	s.Rows = sc.NumRows()
+	for ri := s.Rows; ri < t.NumRows; ri++ {
+		s.Sample.Add(int32(ri))
+	}
+	s.Rows = t.NumRows
 	s.Gen = t.Generation()
 	s.Epoch = epoch
 }
 
-// SampleRows returns a race-free snapshot of the current sample (the
-// row slices themselves are immutable once created).
-func (s *Summary) SampleRows() [][]any {
-	return append([][]any(nil), s.Sample.Rows()...)
+// hashAt is the sketch hash of col's value at row.
+func hashAt(col *storage.Column, row int32) uint64 {
+	switch col.Def.Kind {
+	case storage.Float64:
+		return sketch.HashFloat(ValueHashSeed, col.Floats[row])
+	case storage.String:
+		return sketch.HashString(ValueHashSeed, col.Strs[row])
+	default:
+		return sketch.HashInt(ValueHashSeed, col.Ints[row])
+	}
+}
+
+// SampleRows returns a race-free copy of the current sample's row ids,
+// never nil (the scan loop reads nil as every row).
+func (s *Summary) SampleRows() []int32 {
+	rows := s.Sample.Rows()
+	return append(make([]int32, 0, len(rows)), rows...)
 }
 
 // Bytes estimates the summary's sketch footprint (sample excluded).

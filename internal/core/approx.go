@@ -18,9 +18,9 @@ import (
 // overload-degrade path. The tier owns two things the WCOJ pipeline
 // does not execute:
 //
-//   - COUNT(DISTINCT col): always served here, exactly (hash-set scan)
-//     by default, approximately (HyperLogLog) under ApproxOK when the
-//     priced win is decisive.
+//   - COUNT(DISTINCT col): always served here, exactly (code-token
+//     scan) by default, approximately (HyperLogLog) under ApproxOK when
+//     the priced win is decisive.
 //   - Sketch/sample answers for single-table aggregates when the caller
 //     opted in (QueryOptions.ApproxOK) and the cost model prices the
 //     exact plan at >= 4x the approximate one.
@@ -121,7 +121,10 @@ func (e *Engine) tryApprox(sql string, qo QueryOptions, st *obs.QueryStats, degr
 	}
 	snap := e.cat.Snapshot()
 	g := snap.Resolve(t)
-	sh, ok := approx.Analyze(q, &g.Schema)
+	sh, ok, aerr := approx.Analyze(q, g)
+	if aerr != nil && !degraded {
+		return nil, true, &qerr.PlanError{SQL: sql, Err: aerr}
+	}
 	if !ok {
 		return nil, false, nil
 	}
@@ -159,15 +162,10 @@ func (e *Engine) tryApprox(sql string, qo QueryOptions, st *obs.QueryStats, degr
 
 	te := time.Now()
 	var ans *approx.Answer
-	var err error
 	switch route {
 	case "":
 		// Exact distinct scan: the engine's COUNT(DISTINCT) baseline.
-		var res *exec.Result
-		res, err = approx.EvalScan(sh, approx.NewTableScanner(g))
-		if err == nil {
-			ans = &approx.Answer{Res: res, Route: obs.DispatchDistinctScan}
-		}
+		ans = &approx.Answer{Res: approx.EvalScan(sh), Route: obs.DispatchDistinctScan}
 	default:
 		var epoch uint64
 		if snap != nil {
@@ -177,19 +175,13 @@ func (e *Engine) tryApprox(sql string, qo QueryOptions, st *obs.QueryStats, degr
 		sum := e.summaryFor(q.From[0].Table, g, epoch)
 		switch route {
 		case "hll":
-			ans, err = approx.EvalHLL(sh, sum, &g.Schema, g.NumRows)
+			ans = approx.EvalHLL(sh, sum)
 		case "cms":
-			ans, err = approx.EvalCMS(sh, sum, &g.Schema, g.NumRows)
+			ans = approx.EvalCMS(sh, sum)
 		default:
-			ans, err = approx.EvalSample(sh, sum.SampleRows(), &g.Schema, g.NumRows)
+			ans = approx.EvalSample(sh, sum.SampleRows())
 		}
 		e.approxMu.Unlock()
-	}
-	if err != nil {
-		if degraded {
-			return nil, false, nil
-		}
-		return nil, true, &qerr.ExecError{SQL: sql, Err: err}
 	}
 
 	if st != nil {
@@ -220,7 +212,7 @@ func (e *Engine) tryApprox(sql string, qo QueryOptions, st *obs.QueryStats, degr
 // EXPLAIN renders the normal plan.
 func (e *Engine) explainApprox(sql string) (string, bool) {
 	q, err := sqlparse.Parse(sql)
-	if err != nil || len(q.From) != 1 {
+	if err != nil || len(q.From) != 1 || e.Freeze() != nil {
 		return "", false
 	}
 	t := e.cat.Table(q.From[0].Table)
@@ -228,7 +220,7 @@ func (e *Engine) explainApprox(sql string) (string, bool) {
 		return "", false
 	}
 	g := e.cat.Snapshot().Resolve(t)
-	sh, ok := approx.Analyze(q, &g.Schema)
+	sh, ok, _ := approx.Analyze(q, g)
 	if !ok || !sh.HasDistinct {
 		return "", false
 	}
@@ -238,7 +230,7 @@ func (e *Engine) explainApprox(sql string) (string, bool) {
 	var b strings.Builder
 	b.WriteString(sh.String() + "\n")
 	if route == "" {
-		b.WriteString("route: exact distinct scan (hash-set evaluation)\n")
+		b.WriteString("route: exact distinct scan (code-token scan)\n")
 	} else {
 		b.WriteString("route (with ApproxOK): " + route + "\n")
 	}

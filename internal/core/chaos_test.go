@@ -156,9 +156,13 @@ func TestOverloadShedWithRetryAfter(t *testing.T) {
 	}
 }
 
-// TestGovernorStress runs admitted, queued, shed, over-budget,
-// panicking, and cancelled queries simultaneously (run under -race via
-// `make chaos`), then asserts every accounting surface returns to zero.
+// TestGovernorStress drives admitted, queued, shed, over-budget,
+// panicking and cancelled queries through one governor (run under
+// -race via `make chaos`), then asserts every accounting surface
+// returns to zero. Each outcome class is constructed rather than left
+// to scheduling: an unlimited delay fault at the worker entry holds
+// the admitted queries while the queue fills, sheds and cancels, and
+// panics are injected only into later waves that fit the slots.
 func TestGovernorStress(t *testing.T) {
 	faultinject.Reset()
 	t.Cleanup(faultinject.Reset)
@@ -167,52 +171,85 @@ func TestGovernorStress(t *testing.T) {
 	if _, err := eng.Query(tpch.Queries["q5"]); err != nil {
 		t.Fatal(err)
 	}
-	faultinject.Arm(faultinject.PointExecWorker,
-		faultinject.Fault{Mode: faultinject.ModePanic, Times: 5})
 
-	const n = 48
 	var wg sync.WaitGroup
 	var ok, shed, exhausted, panicked, cancelled, other int
 	var mu sync.Mutex
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			ctx := context.Background()
-			qo := QueryOptions{}
-			switch i % 4 {
-			case 1: // over-budget
-				qo.MemoryBudget = 1
-			case 2: // short deadline: queued queries may time out
-				var cancel context.CancelFunc
-				ctx, cancel = context.WithTimeout(ctx, 30*time.Millisecond)
-				defer cancel()
-			}
-			_, err := eng.QueryWithContext(ctx, tpch.Queries["q5"], qo)
-			mu.Lock()
-			defer mu.Unlock()
-			switch {
-			case err == nil:
-				ok++
-			case errors.As(err, new(*qerr.OverloadedError)):
-				shed++
-			case errors.As(err, new(*qerr.ResourceExhaustedError)):
-				exhausted++
-			case errors.As(err, new(*qerr.InternalError)):
-				panicked++
-			case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
-				cancelled++
-			default:
-				other++
-			}
-		}(i)
+	tally := func(err error) {
+		mu.Lock()
+		defer mu.Unlock()
+		switch {
+		case err == nil:
+			ok++
+		case errors.As(err, new(*qerr.OverloadedError)):
+			shed++
+		case errors.As(err, new(*qerr.ResourceExhaustedError)):
+			exhausted++
+		case errors.As(err, new(*qerr.InternalError)):
+			panicked++
+		case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
+			cancelled++
+		default:
+			other++
+		}
 	}
+	launch := func(ctx context.Context, qo QueryOptions) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, err := eng.QueryWithContext(ctx, tpch.Queries["q5"], qo)
+			tally(err)
+		}()
+	}
+
+	// Hold wave: while the gate is armed every worker chunk sleeps, so
+	// the three admitted queries stay in flight until it is disarmed.
+	faultinject.Arm(faultinject.PointExecWorker,
+		faultinject.Fault{Mode: faultinject.ModeDelay, Delay: 200 * time.Millisecond})
+	for i := 0; i < 3; i++ {
+		launch(context.Background(), QueryOptions{})
+	}
+	waitForCond(t, func() bool { return eng.gov.InUse() == 3 })
+	// Fill the queue: two queries to cancel while queued, one over
+	// budget, one plain.
+	cancelCtx, cancelQueued := context.WithCancel(context.Background())
+	defer cancelQueued()
+	launch(cancelCtx, QueryOptions{})
+	launch(cancelCtx, QueryOptions{})
+	launch(context.Background(), QueryOptions{MemoryBudget: 1})
+	launch(context.Background(), QueryOptions{})
+	waitForCond(t, func() bool { return eng.gov.QueueLen() == 4 })
+	// Slots and queue are full: these are shed.
+	for i := 0; i < 8; i++ {
+		_, err := eng.Query(tpch.Queries["q5"])
+		tally(err)
+	}
+	cancelQueued()
+	waitForCond(t, func() bool { return eng.gov.QueueLen() == 2 })
+	faultinject.Disarm(faultinject.PointExecWorker)
 	wg.Wait()
+
+	// Panic waves: five injected panics across admitted waves of three
+	// (a panicking query may spend more than one), then a clean wave
+	// once the budget is spent.
+	faultinject.Arm(faultinject.PointExecWorker,
+		faultinject.Fault{Mode: faultinject.ModePanic, Times: 5})
+	for wave := 0; wave < 6; wave++ {
+		before := panicked
+		for i := 0; i < 3; i++ {
+			launch(context.Background(), QueryOptions{})
+		}
+		wg.Wait()
+		if panicked == before {
+			break
+		}
+	}
+
 	if other != 0 {
 		t.Fatalf("unexpected error class: ok=%d shed=%d exhausted=%d panicked=%d cancelled=%d other=%d",
 			ok, shed, exhausted, panicked, cancelled, other)
 	}
-	if ok == 0 || exhausted == 0 {
+	if ok == 0 || shed == 0 || exhausted == 0 || panicked == 0 || cancelled == 0 {
 		t.Fatalf("stress mix too narrow: ok=%d shed=%d exhausted=%d panicked=%d cancelled=%d",
 			ok, shed, exhausted, panicked, cancelled)
 	}

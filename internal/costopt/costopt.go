@@ -18,6 +18,7 @@ package costopt
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/ghd"
@@ -283,7 +284,11 @@ func (c *chooser) walk(n *ghd.Node, parent *ghd.Node) error {
 // lexicographically *descending* preference. (The icost × weight sum is
 // position-independent, so without this tie-break a low-cardinality
 // materialized attribute could land in the outer loop and multiply the
-// work of every inner intersection.)
+// work of every inner intersection.) A relaxed order wins only when it
+// is strictly cheaper: the unrelaxed one keeps materialized attributes
+// outermost, the shape the BLAS dispatch recognizes. Remaining ties
+// break on the attribute names, so the choice never depends on the
+// bag's order.
 func better(a, b *Order) bool {
 	if a.Cost != b.Cost {
 		return a.Cost < b.Cost
@@ -296,7 +301,10 @@ func better(a, b *Order) bool {
 			return a.Per[i].Weight > b.Per[i].Weight
 		}
 	}
-	return false
+	if a.Relaxed != b.Relaxed {
+		return !a.Relaxed
+	}
+	return slices.Compare(a.Attrs, b.Attrs) < 0
 }
 
 // materializedAt computes the vertices a node must materialize: the

@@ -115,9 +115,11 @@ func (c *compiler) compileBool(e sqlparse.Expr) (Filter, error) {
 			return nil, err
 		}
 		if v.Negate {
+			// Negate the whole range test rather than flip its bounds:
+			// NaN is outside every range, so NOT BETWEEN holds for it.
 			return func(row int32) bool {
 				xv := x(row)
-				return xv < lo(row) || xv > hi(row)
+				return !(xv >= lo(row) && xv <= hi(row))
 			}, nil
 		}
 		return func(row int32) bool {

@@ -34,7 +34,7 @@ const (
 
 	// Approximate-tier dispatches (and the exact distinct scan that
 	// anchors them).
-	DispatchDistinctScan = "distinct-scan" // exact hash-set COUNT(DISTINCT) scan
+	DispatchDistinctScan = "distinct-scan" // exact code-token COUNT(DISTINCT) scan
 	DispatchApproxHLL    = "approx-hll"    // HyperLogLog COUNT(DISTINCT) estimate
 	DispatchApproxCMS    = "approx-cms"    // Count-Min heavy-hitter group counts
 	DispatchApproxSample = "approx-sample" // scaled aggregates over a reservoir sample

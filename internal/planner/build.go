@@ -1,7 +1,9 @@
 package planner
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/ghd"
@@ -290,16 +292,28 @@ func (b *builder) union(a, c colKey) {
 }
 
 // buildVertices names one hypergraph vertex per join group (rule 1) and
-// registers each member column.
+// registers each member column. Groups and members are visited in
+// (rel, col) order, so vertex order and #N names are the same on every
+// build of a query.
 func (b *builder) buildVertices() error {
 	b.vertexOf = map[colKey]string{}
+	byRelCol := func(x, y colKey) int {
+		return cmp.Or(cmp.Compare(x.rel, y.rel), cmp.Compare(x.col, y.col))
+	}
+	var roots []colKey
 	groups := map[colKey][]colKey{}
 	for k := range b.joinParent {
 		r := b.find(k)
+		if groups[r] == nil {
+			roots = append(roots, r)
+		}
 		groups[r] = append(groups[r], k)
 	}
+	slices.SortFunc(roots, byRelCol)
 	usedNames := map[string]int{}
-	for root, members := range groups {
+	for _, root := range roots {
+		members := groups[root]
+		slices.SortFunc(members, byRelCol)
 		col := b.plan.Rels[root.rel].Table.Col(root.col)
 		name := col.Def.DomainName()
 		usedNames[name]++
@@ -636,8 +650,8 @@ func (b *builder) buildAggExpr(e sqlparse.Expr) (*EmitNode, int, error) {
 // index, or -1 when AVG expanded into two aggregates.
 func (b *builder) addAggregate(fc sqlparse.FuncCall) (int, error) {
 	if fc.Distinct {
-		// Distinct aggregation is served by the approximate tier's scan
-		// evaluator (exact hash-set or HLL), not the WCOJ pipeline: a
+		// Distinct aggregation is served by the approximate tier (exact
+		// code-token scan or HLL), not the WCOJ pipeline: a
 		// distinct call reaching the planner means the front-end could not
 		// handle the query shape.
 		return 0, fmt.Errorf("planner: %s(distinct) is only supported over a single table without joins", fc.Name)

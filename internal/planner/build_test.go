@@ -1,6 +1,7 @@
 package planner
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -321,5 +322,31 @@ func TestSelfJoinSameDomainDistinctVertices(t *testing.T) {
 			t.Fatalf("duplicate vertex name %q in %v", v, p.HG.Vertices)
 		}
 		names[v] = true
+	}
+}
+
+// TestBuildIsDeterministic rebuilds one self-join and one TPC-H query
+// many times: vertex names, per-relation vertex order and the plan text
+// must not depend on map iteration order.
+func TestBuildIsDeterministic(t *testing.T) {
+	cat := miniCatalog(t)
+	for _, sql := range []string{
+		`SELECT m1.i, m3.j, sum(m1.v * m2.v * m3.v) AS v FROM matrix AS m1, matrix AS m2, matrix AS m3
+			WHERE m1.j = m2.i AND m2.j = m3.i GROUP BY m1.i, m3.j`,
+		q5SQL,
+	} {
+		var first string
+		for i := 0; i < 50; i++ {
+			p := buildPlan(t, cat, sql)
+			text := p.String()
+			for _, r := range p.Rels {
+				text += fmt.Sprintf("\n%s: %v", r.Alias, r.Vertices)
+			}
+			if i == 0 {
+				first = text
+			} else if text != first {
+				t.Fatalf("build %d differs:\n%s\nfirst build:\n%s", i, text, first)
+			}
+		}
 	}
 }

@@ -1,7 +1,7 @@
 // Package sketch implements the probabilistic summaries behind the
 // approximate query tier: HyperLogLog for COUNT(DISTINCT), Count-Min
 // for heavy-hitter group counts, and seeded reservoir samples of base
-// rows. In the paper's framing (LevelHeaded §III) these are just
+// row ids. In the paper's framing (LevelHeaded §III) these are just
 // another annotation shape over the same relations — a lossy semiring
 // fold that trades bounded error for sublinear evaluation work.
 //
@@ -24,10 +24,10 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// canonFloatBits canonicalizes a float64 for hashing: -0.0 folds into
-// +0.0 and every NaN payload maps to one quiet NaN, mirroring
-// refeval.canonGroupVal and the engine's pseudo-encoding.
-func canonFloatBits(f float64) uint64 {
+// CanonFloatBits canonicalizes a float64 for hashing and grouping:
+// -0.0 folds into +0.0 and every NaN payload maps to one quiet NaN,
+// mirroring the engine's group pseudo-encoding.
+func CanonFloatBits(f float64) uint64 {
 	if f == 0 {
 		return 0
 	}
@@ -44,7 +44,7 @@ func HashInt(seed uint64, v int64) uint64 {
 
 // HashFloat hashes a float64 value under seed, canonicalized.
 func HashFloat(seed uint64, f float64) uint64 {
-	return splitmix64(seed ^ splitmix64(canonFloatBits(f)))
+	return splitmix64(seed ^ splitmix64(CanonFloatBits(f)))
 }
 
 // HashString hashes a string value under seed (FNV-1a folded through
@@ -56,20 +56,4 @@ func HashString(seed uint64, s string) uint64 {
 		h *= 1099511628211
 	}
 	return splitmix64(seed ^ h)
-}
-
-// HashValue hashes a decoded cell (int64, float64 or string). Note that
-// int64 and float64 cells hash apart even for equal magnitudes — a
-// column has one storage kind, so cross-kind equality never arises
-// within one sketch.
-func HashValue(seed uint64, v any) uint64 {
-	switch x := v.(type) {
-	case int64:
-		return HashInt(seed, x)
-	case float64:
-		return HashFloat(seed, x)
-	case string:
-		return HashString(seed, x)
-	}
-	return splitmix64(seed)
 }

@@ -21,9 +21,8 @@ func TestHashCanonicalization(t *testing.T) {
 	if HashString(seed, "") == HashString(seed, "a") {
 		t.Error("strings must hash apart")
 	}
-	// Determinism across calls.
-	if HashValue(seed, int64(9)) != HashInt(seed, 9) {
-		t.Error("HashValue(int64) must match HashInt")
+	if CanonFloatBits(math.Copysign(0, -1)) != 0 || CanonFloatBits(nan2) != math.Float64bits(math.NaN()) {
+		t.Error("CanonFloatBits must fold -0.0 and NaN payloads")
 	}
 }
 
@@ -101,7 +100,7 @@ func TestCMSNeverUndercounts(t *testing.T) {
 func TestReservoirBasics(t *testing.T) {
 	r := NewReservoir(64, 7)
 	for i := 0; i < 10000; i++ {
-		r.Add([]any{int64(i)})
+		r.Add(int32(i))
 	}
 	if len(r.Rows()) != 64 || r.N() != 10000 {
 		t.Fatalf("size=%d n=%d", len(r.Rows()), r.N())
@@ -112,17 +111,17 @@ func TestReservoirBasics(t *testing.T) {
 	// Determinism: same seed, same stream ⇒ identical sample.
 	r2 := NewReservoir(64, 7)
 	for i := 0; i < 10000; i++ {
-		r2.Add([]any{int64(i)})
+		r2.Add(int32(i))
 	}
 	for i := range r.Rows() {
-		if r.Rows()[i][0] != r2.Rows()[i][0] {
+		if r.Rows()[i] != r2.Rows()[i] {
 			t.Fatal("reservoir is not deterministic")
 		}
 	}
 	// Short streams are kept whole.
 	r3 := NewReservoir(64, 7)
 	for i := 0; i < 10; i++ {
-		r3.Add([]any{int64(i)})
+		r3.Add(int32(i))
 	}
 	if len(r3.Rows()) != 10 || r3.Scale() != 1 {
 		t.Fatalf("short stream: %d rows, scale %v", len(r3.Rows()), r3.Scale())
@@ -139,11 +138,11 @@ func TestReservoirRoughlyUniform(t *testing.T) {
 	for s := 0; s < trials; s++ {
 		r := NewReservoir(k, uint64(s))
 		for i := 0; i < n; i++ {
-			r.Add([]any{int64(i)})
+			r.Add(int32(i))
 		}
 		for _, row := range r.Rows() {
 			total++
-			if row[0].(int64) < n/2 {
+			if row < n/2 {
 				firstHalf++
 			}
 		}
